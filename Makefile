@@ -1,4 +1,4 @@
-.PHONY: install test bench tables clean lint perf-smoke resume-smoke bench-flow cache-smoke bench-scale bench-scale-full monitor-smoke serve-smoke fleet-smoke eco-smoke
+.PHONY: install test bench tables clean lint perf-smoke resume-smoke bench-flow cache-smoke bench-scale bench-scale-full monitor-smoke serve-smoke fleet-smoke eco-smoke flowbench-smoke
 
 install:
 	pip install -e .
@@ -126,6 +126,21 @@ eco-smoke:
 	rm -rf eco-smoke && mkdir -p eco-smoke
 	timeout 600 python benchmarks/bench_eco.py --gate \
 		--json eco-smoke/BENCH_eco.json
+
+# Repository-benchmark smoke (flowbench/): the tracer and per-layer
+# ledger self-test, then one traced sweep_cold run whose last output
+# line must read "correct": true.  The traced run also proves the
+# tracer still installs on every entry point it wraps.
+flowbench-smoke:
+	rm -rf flowbench-smoke && mkdir -p flowbench-smoke
+	timeout 300 python -m pytest flowbench/test_spans.py -q
+	timeout 600 python flowbench/run.py --workload sweep_cold --seed 1 \
+		--seconds 1 --trace 1 --out flowbench-smoke/sweep_cold.json \
+		> flowbench-smoke/sweep_cold.log
+	tail -n 1 flowbench-smoke/sweep_cold.log | python -c "import json, sys; \
+		result = json.loads(sys.stdin.read()); \
+		assert result['correct'] is True, result; \
+		print('flowbench-smoke: traced sweep_cold run is correct')"
 
 # Crash-safety smoke: run a checkpointed flow, kill it mid-sweep with
 # an injected abort, resume, and require the resumed QoR to match an

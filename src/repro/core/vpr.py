@@ -24,6 +24,10 @@ Performance engine (this module is the flow's runtime bottleneck):
 * Each cluster's sub-netlist is induced **once** and shared by all 20
   candidates (and, via :meth:`VPRFramework.induce`, by later callers —
   ML feature extraction, L-shape sweeps, dataset labelling).
+* In-process, a cluster's candidates are placed as one lockstep batch
+  (:meth:`VPRFramework.evaluate_candidates`): one stacked B2B system
+  per axis per round instead of 20, each candidate's placement
+  bit-identical to placing it alone, then routed and scored in turn.
 * Per-candidate scoring reuses cached flat pin/offset arrays and the
   vectorized :func:`repro.place.hpwl.hpwl_arrays` kernel instead of a
   per-net Python loop; the best candidate is picked from a NumPy cost
@@ -101,7 +105,7 @@ from repro.recovery.checkpoint import CheckpointError, CheckpointStore
 from repro.netlist.design import Design, Floorplan, PinDirection
 from repro.netlist.snapshot import design_from_snapshot, design_snapshot
 from repro.place.placer import GlobalPlacer, PlacerConfig
-from repro.place.problem import PlacementProblem
+from repro.place.problem import PlacementBatch, PlacementProblem
 from repro.place.hpwl import hpwl_arrays
 from repro.route.gcell import GCellGrid
 from repro.route.global_route import GlobalRouter
@@ -590,15 +594,79 @@ class VPRFramework:
             self._contexts.popitem(last=False)
 
     # -- evaluation ----------------------------------------------------
+    def _place(
+        self, sub: Design, cell_area: float, candidates: Sequence[ShapeCandidate]
+    ) -> PlacementBatch:
+        """Place the sub-netlist on every candidate's virtual die as one
+        lockstep batch (row ``i`` is ``candidates[i]``).
+
+        The rows share the induced netlist and differ only in die size
+        and port ring, so a row's placement does not depend on which
+        other candidates share its batch.
+        """
+        config = self.config
+        problem = self._context_of(sub).placement_problem()
+        floorplans, xs, ys = [], [], []
+        for candidate in candidates:
+            _configure_virtual_die(sub, cell_area, candidate, config.die_margin)
+            problem.refresh_port_positions()
+            floorplans.append(sub.floorplan)
+            xs.append(problem.x.copy())
+            ys.append(problem.y.copy())
+        batch = PlacementBatch(floorplans, xs, ys)
+        GlobalPlacer(
+            problem,
+            PlacerConfig(
+                max_iterations=config.placer_iterations,
+                min_iterations=2,
+                target_overflow=0.15,
+                telemetry=None,
+                seed=config.seed,
+            ),
+            batch=batch,
+        ).run_batch()
+        return batch
+
+    def evaluate_candidates(
+        self,
+        sub: Design,
+        cell_area: float,
+        candidates: Sequence[ShapeCandidate],
+        cluster_id: Optional[int] = None,
+    ) -> List[CandidateEvaluation]:
+        """Evaluate several candidates of one sub-netlist as a batch:
+        place them all in lockstep, then route and score each in turn.
+
+        Each candidate's costs are bit-identical to evaluating it alone
+        with :meth:`evaluate_candidate`.
+        """
+        with perf.stage("vpr/place"):
+            batch = self._place(sub, cell_area, candidates)
+        return [
+            self.evaluate_candidate(
+                sub,
+                cell_area,
+                candidate,
+                cluster_id=cluster_id,
+                placement=(batch.x[row], batch.y[row]),
+            )
+            for row, candidate in enumerate(candidates)
+        ]
+
     def evaluate_candidate(
         self,
         sub: Design,
         cell_area: float,
         candidate: ShapeCandidate,
         cluster_id: Optional[int] = None,
+        placement: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> CandidateEvaluation:
         """Place + route the sub-netlist on the candidate's virtual die
         and compute Cost_HPWL / Cost_Congestion (Eqs. 4-5).
+
+        ``placement`` is the candidate's ``(x, y)`` row of a batch
+        placement (:meth:`evaluate_candidates`); None places the
+        candidate as a batch of one.
 
         The per-iteration placer/router QoR streams are muted here
         (hundreds of virtual dies would drown the flow-level
@@ -611,20 +679,14 @@ class VPRFramework:
             span_attrs["cluster"] = cluster_id
         with telemetry.span("vpr.candidate", **span_attrs):
             ctx = self._context_of(sub)
+            if placement is None:
+                with perf.stage("vpr/place"):
+                    batch = self._place(sub, cell_area, [candidate])
+                placement = (batch.x[0], batch.y[0])
             _configure_virtual_die(sub, cell_area, candidate, config.die_margin)
-            with perf.stage("vpr/place"):
-                problem = ctx.placement_problem()
-                placer = GlobalPlacer(
-                    problem,
-                    PlacerConfig(
-                        max_iterations=config.placer_iterations,
-                        min_iterations=2,
-                        target_overflow=0.15,
-                        telemetry=None,
-                        seed=config.seed,
-                    ),
-                )
-                placer.run()
+            problem = ctx.placement_problem()
+            problem.set_positions(*placement)
+            problem.commit()
             with perf.stage("vpr/route"):
                 grid = GCellGrid.for_floorplan(
                     sub.floorplan, target_cells=config.route_target_cells
@@ -863,11 +925,17 @@ class VPRFramework:
             },
         )
 
-    def _evaluate_item_guarded(
-        self, sub: Design, cell_area: float, cluster_id: int, candidate_index: int
+    def _retry_item(
+        self,
+        sub: Design,
+        cell_area: float,
+        cluster_id: int,
+        candidate_index: int,
+        error: BaseException,
     ) -> Tuple[CandidateEvaluation, float]:
-        """Evaluate one item with the bounded retry/backoff policy.
+        """Retry one item whose first attempt failed with ``error``.
 
+        Bounded retries with exponential backoff, one item at a time.
         Returns ``(evaluation, seconds)``.  On terminal failure either
         raises :class:`VPRSweepError` (policy ``"raise"``) or returns
         an explicitly invalid evaluation (policy ``"exclude"``).
@@ -875,20 +943,19 @@ class VPRFramework:
         config = self.config
         candidate = config.candidates[candidate_index]
         attempts = max(0, int(config.retry_limit)) + 1
-        last_error: Optional[BaseException] = None
+        last_error = error
         start = time.perf_counter()
-        for attempt in range(attempts):
-            if attempt:
-                delay = config.retry_backoff * (2 ** (attempt - 1))
-                if delay > 0:
-                    _SLEEP(delay)
-                perf.count("vpr.item.retry")
-                telemetry.event(
-                    "vpr.item.retry",
-                    cluster=cluster_id,
-                    candidate=candidate_index,
-                    attempt=attempt,
-                )
+        for attempt in range(1, attempts):
+            delay = config.retry_backoff * (2 ** (attempt - 1))
+            if delay > 0:
+                _SLEEP(delay)
+            perf.count("vpr.item.retry")
+            telemetry.event(
+                "vpr.item.retry",
+                cluster=cluster_id,
+                candidate=candidate_index,
+                attempt=attempt,
+            )
             try:
                 faults.check("vpr.item", key=f"{cluster_id}/{candidate_index}")
                 evaluation = self.evaluate_candidate(
@@ -922,36 +989,91 @@ class VPRFramework:
             seconds,
         )
 
+    def _evaluate_batch(
+        self,
+        sub: Design,
+        cell_area: float,
+        cluster_id: int,
+        pending: Sequence[int],
+    ) -> Dict[int, Tuple[CandidateEvaluation, float]]:
+        """Evaluate a cluster's pending candidates as one batch.
+
+        Each item passes its own ``vpr.item`` fault check first.  An
+        item whose check raises, and every item of a batch that raises,
+        takes the per-item retry path with that failure as its first
+        attempt.  A batched item's seconds are the batch wall time
+        divided by the batch size.  Returns candidate index ->
+        ``(evaluation, seconds)``.
+        """
+        candidates = self.config.candidates
+        ready: List[int] = []
+        failed: Dict[int, BaseException] = {}
+        for k in pending:
+            try:
+                faults.check("vpr.item", key=f"{cluster_id}/{k}")
+            except Exception as exc:
+                failed[k] = exc
+            else:
+                ready.append(k)
+        done: Dict[int, Tuple[CandidateEvaluation, float]] = {}
+        if ready:
+            start = time.perf_counter()
+            try:
+                evaluations = self.evaluate_candidates(
+                    sub,
+                    cell_area,
+                    [candidates[k] for k in ready],
+                    cluster_id=cluster_id,
+                )
+            except Exception as exc:
+                failed.update(dict.fromkeys(ready, exc))
+            else:
+                seconds = (time.perf_counter() - start) / len(ready)
+                done.update(
+                    (k, (evaluation, seconds))
+                    for k, evaluation in zip(ready, evaluations)
+                )
+        for k in sorted(failed):
+            done[k] = self._retry_item(sub, cell_area, cluster_id, k, failed[k])
+        return done
+
     def sweep_cluster(
         self, source: Design, member_indices: Sequence[int], cluster_id: int = 0
     ) -> VPRSweepResult:
-        """Evaluate all shape candidates for one cluster (serially)."""
+        """Evaluate all shape candidates for one cluster (in-process).
+
+        Checkpointed and cached candidates are served from disk; the
+        rest are evaluated as one batch (:meth:`_evaluate_batch`).
+        Finished items are then checkpointed in candidate order.
+        """
         start = time.perf_counter()
+        n_cand = len(self.config.candidates)
         with perf.stage("vpr/sweep"), telemetry.span(
             "vpr.sweep", cluster=cluster_id
         ):
             sub, cell_area = self.induce(source, member_indices)
-            evaluations: List[CandidateEvaluation] = []
-            for k in range(len(self.config.candidates)):
-                checkpointed = self._checkpoint_lookup(cluster_id, k)
-                if checkpointed is not None:
-                    evaluations.append(checkpointed[0])
-                    monitor.advance("vpr.items")
-                    continue
-                cached = self._cache_lookup(sub, cell_area, cluster_id, k)
-                if cached is not None:
-                    evaluation, seconds = cached
-                    self._checkpoint_save(cluster_id, k, evaluation, seconds)
-                    evaluations.append(evaluation)
-                    monitor.advance("vpr.items")
-                    continue
-                evaluation, seconds = self._evaluate_item_guarded(
-                    sub, cell_area, cluster_id, k
-                )
-                self._checkpoint_save(cluster_id, k, evaluation, seconds)
-                self._cache_store(sub, cell_area, k, evaluation, seconds)
-                evaluations.append(evaluation)
+            results: Dict[int, Tuple[CandidateEvaluation, float]] = {}
+            cached: List[int] = []
+            pending: List[int] = []
+            for k in range(n_cand):
+                served = self._checkpoint_lookup(cluster_id, k)
+                if served is None:
+                    served = self._cache_lookup(sub, cell_area, cluster_id, k)
+                    if served is None:
+                        pending.append(k)
+                        continue
+                    cached.append(k)
+                results[k] = served
                 monitor.advance("vpr.items")
+            evaluated = self._evaluate_batch(sub, cell_area, cluster_id, pending)
+            results.update(evaluated)
+            for k in sorted(cached + pending):
+                evaluation, seconds = results[k]
+                self._checkpoint_save(cluster_id, k, evaluation, seconds)
+                if k in evaluated:
+                    self._cache_store(sub, cell_area, k, evaluation, seconds)
+                    monitor.advance("vpr.items")
+        evaluations = [results[k][0] for k in range(n_cand)]
         best = self._best_of(evaluations, cluster_id=cluster_id)
         sweep = VPRSweepResult(
             cluster_id=cluster_id,
@@ -1224,10 +1346,10 @@ class VPRFramework:
     ) -> None:
         """Re-evaluate crashed items parent-side with overlapped backoff.
 
-        The naive loop (one ``_evaluate_item_guarded`` call per failed
-        item) blocks the parent inside each item's ``time.sleep``
-        backoff, so F failures each needing one retry stall the sweep
-        for the *sum* of their backoff windows.  This scheduler keeps a
+        The naive loop (one blocking retry chain per failed item) sleeps
+        through each item's backoff in turn, so F failures each needing
+        one retry stall the sweep for the *sum* of their backoff
+        windows.  This scheduler keeps a
         min-heap of (due-time, item) attempts instead and only ever
         sleeps until the *earliest* due attempt: all items take their
         first attempt immediately, backoff windows run concurrently,

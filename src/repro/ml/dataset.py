@@ -105,8 +105,10 @@ def build_dataset(
             # the same object the 20 labelling runs below score.
             sub, cell_area = framework.induce(design, member_list)
             base = extractor.extract(sub)
-            for candidate in config.vpr.candidates:
-                evaluation = framework.evaluate_candidate(sub, cell_area, candidate)
+            evaluations = framework.evaluate_candidates(
+                sub, cell_area, config.vpr.candidates
+            )
+            for candidate, evaluation in zip(config.vpr.candidates, evaluations):
                 label = evaluation.total(config.vpr.delta)
                 samples.append(base.with_shape(candidate).with_label(label))
     return samples

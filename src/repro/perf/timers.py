@@ -4,7 +4,9 @@ A :class:`PerfRegistry` aggregates wall-clock per *stage* and integer
 *counters* (cache hits, work-item counts, payload sizes).  Stage names
 are hierarchical: entering ``stage("vpr")`` and then ``stage("place")``
 records the inner time under ``"vpr/place"``, so a report reads like a
-call tree without any profiler overhead.
+call tree without any profiler overhead.  A nested name's leading
+namespace is dropped when the path already has it (``stage("flow/vpr")``
+then ``stage("vpr/select")`` records ``"flow/vpr/select"``).
 
 The module keeps one process-wide default registry.  Instrumentation is
 **off by default**: :func:`stage` then returns a shared no-op context
@@ -83,6 +85,24 @@ class _Stage:
         self._registry._pop(elapsed)
 
 
+def _qualify(parent: str, name: str) -> str:
+    """``parent/name`` without repeating a namespace already on the path.
+
+    Stage names carry their layer's namespace (``vpr/sweep``) so they
+    read well at top level; nested under ``flow/vpr/select`` the
+    leading ``vpr`` would only repeat it.  Leading components of
+    ``name`` that already appear in ``parent`` are dropped, so
+    ``flow/vpr`` > ``vpr/select`` > ``vpr/sweep`` records
+    ``flow/vpr/select/sweep``.  The last component is always kept.
+    """
+    seen = set(parent.split("/"))
+    parts = name.split("/")
+    skip = 0
+    while skip < len(parts) - 1 and parts[skip] in seen:
+        skip += 1
+    return "/".join([parent, *parts[skip:]])
+
+
 class PerfRegistry:
     """Thread-safe store of stage timings and counters."""
 
@@ -103,8 +123,7 @@ class PerfRegistry:
 
     def _push(self, name: str) -> None:
         stack = self._stack()
-        qualified = f"{stack[-1]}/{name}" if stack else name
-        stack.append(qualified)
+        stack.append(_qualify(stack[-1], name) if stack else name)
 
     def _pop(self, elapsed: float) -> None:
         stack = self._stack()

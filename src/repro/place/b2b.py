@@ -9,7 +9,6 @@ SPD system is solved per axis with conjugate gradients.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -42,7 +41,23 @@ def b2b_edges(
     Returns ``(u, v, w)`` arrays of graph edges.  Vectorized: pins are
     sorted per net by coordinate; the first/last pin of each net is the
     boundary pin.
+
+    ``coords`` may be a ``(B, n)`` batch: the rows' edges are then
+    concatenated row after row, with vertex ``i`` of row ``b`` numbered
+    ``b * n + i`` (an index into ``coords.ravel()``), which is the
+    stacked system :func:`solve_axis` takes.  Each row is built on its
+    own: the per-net sort dominates and gains nothing from stacking.
     """
+    if np.ndim(coords) == 2:
+        us, vs, ws = zip(
+            *(b2b_edges(pin_vertex, net_offsets, net_weights, row) for row in coords)
+        )
+        shifts = np.arange(len(coords)) * coords.shape[1]
+        return (
+            np.concatenate([u + shift for u, shift in zip(us, shifts)]),
+            np.concatenate([v + shift for v, shift in zip(vs, shifts)]),
+            np.concatenate(ws),
+        )
     num_nets = len(net_offsets) - 1
     if num_nets == 0:
         empty = np.zeros(0)
@@ -121,22 +136,39 @@ def solve_axis(
     Args:
         u, v, w: B2B edges.
         coords: Current coordinates (used as the CG starting point and
-            as the value of fixed vertices).
-        fixed: Fixed-vertex mask.
-        anchor_targets: Optional per-vertex pseudo-net anchor targets.
-        anchor_weights: Per-vertex anchor weights (0 disables).
+            as the value of fixed vertices): ``(n,)``, or a ``(B, n)``
+            batch whose edges number vertices ``b * n + i`` (see
+            :func:`b2b_edges`).
+        fixed: ``(n,)`` fixed-vertex mask, shared by every row.
+        anchor_targets: Optional per-vertex pseudo-net anchor targets
+            (shaped like ``coords``).
+        anchor_weights: Per-vertex anchor weights (0 disables),
+            broadcast against ``coords``.
 
     Returns:
-        New coordinate array (fixed entries unchanged).
+        New coordinate array shaped like ``coords`` (fixed entries
+        unchanged).
+
+    A batch is solved as one block-diagonal system.  Each row's entries
+    keep the relative order they have in a single-row solve (the
+    bincounts and the CSR assembly add them in that order) and the
+    solver reduces per row, so every row's solution is bit-identical to
+    solving it alone.
     """
-    n = len(coords)
+    rows = np.asarray(coords, dtype=float).reshape(-1, np.shape(coords)[-1])
+    batch, n = rows.shape
     movable = ~fixed
-    m_index = np.full(n, -1, dtype=np.int64)
     m_ids = np.nonzero(movable)[0]
-    m_index[m_ids] = np.arange(len(m_ids))
     nm = len(m_ids)
     if nm == 0:
-        return coords.copy()
+        return np.array(coords, dtype=float)
+    # Unknown of movable vertex b * n + i is b * nm + (rank of i).
+    m_index = np.full(n, -1, dtype=np.int64)
+    m_index[m_ids] = np.arange(nm)
+    m_index = (m_index + np.arange(batch)[:, None] * nm).ravel()
+    movable = np.tile(movable, batch)
+    flat = rows.ravel()
+    size = batch * nm
 
     mu = movable[u]
     mv = movable[v]
@@ -146,9 +178,6 @@ def solve_axis(
     iu = m_index[u[both]]
     iv = m_index[v[both]]
     ww = w[both]
-    rows = [iu, iv]
-    cols = [iv, iu]
-    vals = [-ww, -ww]
 
     # movable-fixed edges contribute to diagonal and RHS.
     mask_uf = mu & ~mv
@@ -163,52 +192,50 @@ def solve_axis(
     diag = np.bincount(
         np.concatenate([iu, iv, ii_uf, ii_fu]),
         weights=np.concatenate([ww, ww, ww_uf, ww_fu]),
-        minlength=nm,
+        minlength=size,
     )
     b = np.bincount(
         np.concatenate([ii_uf, ii_fu]),
         weights=np.concatenate(
-            [ww_uf * coords[v[mask_uf]], ww_fu * coords[u[mask_fu]]]
+            [ww_uf * flat[v[mask_uf]], ww_fu * flat[u[mask_fu]]]
         ),
-        minlength=nm,
+        minlength=size,
     )
 
     # anchors (pseudo nets to spreading targets / seed positions)
     if anchor_targets is not None and anchor_weights is not None:
-        aw = anchor_weights[m_ids]
+        aw = np.broadcast_to(anchor_weights, rows.shape)[:, m_ids].ravel()
         diag += aw
-        b += aw * anchor_targets[m_ids]
+        b += aw * np.reshape(anchor_targets, rows.shape)[:, m_ids].ravel()
 
+    start = rows[:, m_ids]
     # Guard isolated vertices (no edges, no anchors).
     isolated = diag <= 0
     if isolated.any():
-        diag = diag.copy()
         diag[isolated] = 1.0
-        b[isolated] = coords[m_ids][isolated]
+        b[isolated] = start.ravel()[isolated]
 
-    rows_arr = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    cols_arr = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    vals_arr = np.concatenate(vals) if vals else np.zeros(0)
+    unknowns = np.arange(size)
     data, indices, indptr = _assemble_csr(
-        np.concatenate([rows_arr, np.arange(nm)]),
-        np.concatenate([cols_arr, np.arange(nm)]),
-        np.concatenate([vals_arr, diag]),
-        nm,
+        np.concatenate([iu, iv, unknowns]),
+        np.concatenate([iv, iu, unknowns]),
+        np.concatenate([-ww, -ww, diag]),
+        size,
     )
 
     solution = _jacobi_pcg(
         data,
         indices,
         indptr,
-        diag,
-        b,
-        coords[m_ids],
+        diag.reshape(batch, nm),
+        b.reshape(batch, nm),
+        start,
         rtol=cg_tol,
         maxiter=cg_maxiter,
     )
-    out = coords.copy()
-    out[m_ids] = solution
-    return out
+    out = rows.copy()
+    out[:, m_ids] = solution
+    return out.reshape(np.shape(coords))
 
 
 def _assemble_csr(
@@ -265,51 +292,77 @@ def _jacobi_pcg(
     V-P&R sweep solves by the hundreds, that dispatch dominated solve
     time.
 
+    ``diag``, ``b`` and ``x0`` may be ``(B, m)``: ``B`` independent
+    systems stacked block-diagonally in one ``B*m`` CSR matrix, solved
+    in lockstep.  Every scalar of the recurrence is a per-row ``(B,)``
+    vector; dot products are per-row ``np.vecdot`` (the same BLAS dot a
+    1-D ``a @ c`` makes), and a row that meets its stopping rule is
+    frozen while the others continue, so each row's iterates, solution
+    and iteration count equal solving that system alone.  A zero-RHS
+    row is solved by zero (scipy.cg's special case) and, like before,
+    not counted as a solve.
+
     ``diag`` is the matrix diagonal (the B2B Laplacian keeps every
     diagonal entry strictly positive).
     """
-    n = len(diag)
-    if not b.any():
-        # scipy.cg's zero-RHS special case: the solution is zero.
-        return np.zeros_like(b)
-    inv_diag = 1.0 / diag
-    x = x0.astype(float, copy=True)
+    shape = np.shape(b)
+    b = np.reshape(b, (-1, shape[-1]))
+    batch, m = b.shape
+    size = batch * m
+    inv_diag = 1.0 / np.reshape(diag, b.shape)
+    x = np.array(np.reshape(x0, b.shape), dtype=float)
+    solving = b.any(axis=1)
+    x[~solving] = 0.0
     if _CSR_MATVEC is not None:
-        buffer = np.zeros(n)
+        buffer = np.zeros(size)
 
         def matvec(vec: np.ndarray) -> np.ndarray:
             buffer[:] = 0.0
-            _CSR_MATVEC(n, n, indptr, indices, data, vec, buffer)
-            return buffer
+            _CSR_MATVEC(size, size, indptr, indices, data, vec.ravel(), buffer)
+            return buffer.reshape(batch, m)
 
     else:  # pragma: no cover - fallback for exotic scipy builds
-        matvec = sp.csr_matrix((data, indices, indptr), shape=(n, n)).dot
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(size, size))
+
+        def matvec(vec: np.ndarray) -> np.ndarray:
+            return matrix.dot(vec.ravel()).reshape(batch, m)
+
     r = b - matvec(x)
-    atol = rtol * math.sqrt(float(b @ b))
-    rho_prev = 0.0
+    atol = rtol * np.sqrt(np.vecdot(b, b))
+    active = solving.copy()
+    rho_prev = np.ones(batch)
     p = None
-    iterations = 0
-    for _ in range(maxiter):
-        if math.sqrt(float(r @ r)) < atol:
-            break
-        z = inv_diag * r
-        rho = float(r @ z)
-        if rho == 0.0:
+    iterations = np.zeros(batch, dtype=np.int64)
+    # Frozen rows keep computing throwaway values; never warn on them.
+    with np.errstate(all="ignore"):
+        for _ in range(maxiter):
+            active &= ~(np.sqrt(np.vecdot(r, r)) < atol)
+            z = inv_diag * r
+            rho = np.vecdot(r, z)
             # Exact-zero residual with atol == 0: converged.
-            break
-        if p is None:
-            p = z.copy()
-        else:
-            p = z + (rho / rho_prev) * p
-        Ap = matvec(p)
-        alpha = rho / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rho_prev = rho
-        iterations += 1
+            active &= rho != 0.0
+            if not active.any():
+                break
+            if p is None:
+                p = z.copy()
+            else:
+                p = z + (rho / rho_prev)[:, None] * p
+            Ap = matvec(p)
+            alpha = (rho / np.vecdot(p, Ap))[:, None]
+            if active.all():
+                x += alpha * p
+                r -= alpha * Ap
+            else:
+                live = np.nonzero(active)[0]
+                x[live] += alpha[live] * p[live]
+                r[live] -= alpha[live] * Ap[live]
+            rho_prev = rho
+            iterations += active
     # Solver-effort counters for the perf/telemetry layers (no-ops
     # while disabled); a CG iteration blow-up is the first symptom of
     # an ill-conditioned B2B system (coincident pins, bad anchors).
-    perf.count("b2b.solves")
-    perf.count("b2b.cg_iterations", iterations)
-    return x
+    solves = int(solving.sum())
+    if solves:
+        perf.count("b2b.solves", solves)
+        perf.count("b2b.cg_iterations", int(iterations.sum()))
+    return x.reshape(shape)

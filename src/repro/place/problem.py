@@ -9,11 +9,11 @@ vectorizable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.netlist.design import Design
+from repro.netlist.design import Design, Floorplan
 from repro.place.hpwl import hpwl_arrays
 
 
@@ -183,3 +183,67 @@ class PlacementProblem:
             f"PlacementProblem(V={self.num_vertices}, nets={self.num_nets}, "
             f"movable={int(self.movable.sum())})"
         )
+
+
+class CoreBox(NamedTuple):
+    """Core rectangles of a batch of floorplans, one ``(B, 1)`` column
+    per bound, so per-row arithmetic broadcasts over ``(B, n)``
+    coordinates with the same scalar operands a single die uses."""
+
+    llx: np.ndarray
+    lly: np.ndarray
+    urx: np.ndarray
+    ury: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
+
+    @classmethod
+    def of(cls, floorplans: Sequence[Floorplan]) -> "CoreBox":
+        """Stack the core bounds of ``floorplans`` (one row each)."""
+        return cls(
+            *(
+                np.array([[getattr(fp, name)] for fp in floorplans], dtype=float)
+                for name in (
+                    "core_llx",
+                    "core_lly",
+                    "core_urx",
+                    "core_ury",
+                    "core_width",
+                    "core_height",
+                )
+            )
+        )
+
+
+class PlacementBatch:
+    """``B`` placements of one problem's netlist, each on its own die.
+
+    The V-P&R sweep places a cluster's sub-netlist on 20 virtual dies
+    at once: the rows share the problem's nets, areas and fixed mask,
+    and differ only in their floorplan and fixed-vertex (port)
+    coordinates.  A flat placement is a batch of one.
+
+    Attributes:
+        floorplans: One floorplan per row.
+        x, y: ``(B, n)`` working coordinates (row ``b`` on die ``b``).
+    """
+
+    def __init__(
+        self, floorplans: Sequence[Floorplan], x: np.ndarray, y: np.ndarray
+    ) -> None:
+        self.floorplans = list(floorplans)
+        self.x = np.array(x, dtype=float, ndmin=2)
+        self.y = np.array(y, dtype=float, ndmin=2)
+        if self.x.shape != self.y.shape or len(self.x) != len(self.floorplans):
+            raise ValueError(
+                f"batch rows disagree: {len(self.floorplans)} floorplans, "
+                f"x {self.x.shape}, y {self.y.shape}"
+            )
+
+    @classmethod
+    def of(cls, problem: PlacementProblem) -> "PlacementBatch":
+        """A batch of one over the problem's own die and coordinates."""
+        return cls([problem.design.floorplan], problem.x, problem.y)
+
+    def __len__(self) -> int:
+        return len(self.floorplans)

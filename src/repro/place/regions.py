@@ -52,12 +52,13 @@ class RegionConstraint:
         return self.llx <= x <= self.urx and self.lly <= y <= self.ury
 
     def clamp(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Clamp the region's vertices into the rectangle, in place."""
+        """Clamp the region's vertices into the rectangle, in place
+        (``x`` and ``y`` may be ``(B, n)`` batches)."""
         ids = np.asarray(self.vertex_ids, dtype=np.int64)
         if len(ids) == 0:
             return
-        x[ids] = np.clip(x[ids], self.llx, self.urx)
-        y[ids] = np.clip(y[ids], self.lly, self.ury)
+        x[..., ids] = np.clip(x[..., ids], self.llx, self.urx)
+        y[..., ids] = np.clip(y[..., ids], self.lly, self.ury)
 
 
 def clamp_regions(

@@ -80,31 +80,6 @@ class GCellGrid:
         return cx, cy
 
     # ------------------------------------------------------------------
-    def add_horizontal(self, row: int, col_a: int, col_b: int) -> None:
-        """Add one track of horizontal demand across [col_a, col_b]."""
-        if col_a > col_b:
-            col_a, col_b = col_b, col_a
-        self.h_usage[row, col_a : col_b + 1] += 1.0
-
-    def add_vertical(self, col: int, row_a: int, row_b: int) -> None:
-        """Add one track of vertical demand across [row_a, row_b]."""
-        if row_a > row_b:
-            row_a, row_b = row_b, row_a
-        self.v_usage[row_a : row_b + 1, col] += 1.0
-
-    def segment_congestion(
-        self, horizontal: bool, fixed: int, a: int, b: int
-    ) -> float:
-        """Max congestion ratio along a candidate segment."""
-        if a > b:
-            a, b = b, a
-        if horizontal:
-            usage = self.h_usage[fixed, a : b + 1]
-            return float(usage.max(initial=0.0) / self.h_capacity)
-        usage = self.v_usage[a : b + 1, fixed]
-        return float(usage.max(initial=0.0) / self.v_capacity)
-
-    # ------------------------------------------------------------------
     def congestion_ratios(self) -> np.ndarray:
         """Flattened per-cell max(h, v) congestion ratios."""
         h = self.h_usage / self.h_capacity
@@ -132,3 +107,55 @@ class GCellGrid:
         """Fraction of GCells whose demand exceeds capacity."""
         ratios = self.congestion_ratios()
         return float((ratios > 1.0).mean())
+
+
+class GCellDemand:
+    """A grid's track demand, held in Python lists while a router adds to it.
+
+    The router reads a few cells' maximum and adds one track to a few
+    cells per tree edge, hundreds of thousands of times per flow; on
+    lists each of those costs a fraction of a NumPy call's dispatch.
+    The arithmetic is the arrays' own (the same maxima, the same
+    ``+= 1.0``, the same division by capacity), so :meth:`write_back`
+    stores exactly the usage that adding to the arrays would.
+    """
+
+    __slots__ = ("rows", "cols", "h_capacity", "v_capacity")
+
+    def __init__(self, grid: GCellGrid) -> None:
+        #: rows[row][col]: horizontal demand; cols[col][row]: vertical.
+        self.rows = grid.h_usage.tolist()
+        self.cols = grid.v_usage.T.tolist()
+        self.h_capacity = grid.h_capacity
+        self.v_capacity = grid.v_capacity
+
+    def add_horizontal(self, row: int, col_a: int, col_b: int) -> None:
+        """Add one track of horizontal demand across [col_a, col_b]."""
+        if col_a > col_b:
+            col_a, col_b = col_b, col_a
+        cells = self.rows[row]
+        for col in range(col_a, col_b + 1):
+            cells[col] += 1.0
+
+    def add_vertical(self, col: int, row_a: int, row_b: int) -> None:
+        """Add one track of vertical demand across [row_a, row_b]."""
+        if row_a > row_b:
+            row_a, row_b = row_b, row_a
+        cells = self.cols[col]
+        for row in range(row_a, row_b + 1):
+            cells[row] += 1.0
+
+    def segment_congestion(
+        self, horizontal: bool, fixed: int, a: int, b: int
+    ) -> float:
+        """Max congestion ratio along a candidate segment."""
+        if a > b:
+            a, b = b, a
+        if horizontal:
+            return max(self.rows[fixed][a : b + 1]) / self.h_capacity
+        return max(self.cols[fixed][a : b + 1]) / self.v_capacity
+
+    def write_back(self, grid: GCellGrid) -> None:
+        """Store the demand in the grid's ``h_usage`` / ``v_usage``."""
+        grid.h_usage[:] = self.rows
+        grid.v_usage[:] = np.array(self.cols).T

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.netlist.design import Design, Net
-from repro.route.gcell import GCellGrid
+from repro.route.gcell import GCellDemand, GCellGrid
 from repro.route.steiner import rsmt
 
 #: Wirelength penalty per unit of average overflow along a net's route.
@@ -93,7 +93,9 @@ class GlobalRouter:
                 points.append(point)
         return points
 
-    def _route_edge(self, ax: int, ay: int, bx: int, by: int) -> float:
+    def _route_edge(
+        self, demand: GCellDemand, ax: int, ay: int, bx: int, by: int
+    ) -> float:
         """Route one tree edge as the less-congested L; returns max
         congestion ratio encountered along the chosen pattern.
 
@@ -102,32 +104,31 @@ class GlobalRouter:
         ``cell_of`` calls (two ``np.clip``/``int`` round-trips) per
         edge, which dominated router wall-clock on virtual dies.
         """
-        grid = self.grid
         if ax == bx and ay == by:
             return 0.0
         if ax == bx:
-            congestion = grid.segment_congestion(False, ax, ay, by)
-            grid.add_vertical(ax, ay, by)
+            congestion = demand.segment_congestion(False, ax, ay, by)
+            demand.add_vertical(ax, ay, by)
             return congestion
         if ay == by:
-            congestion = grid.segment_congestion(True, ay, ax, bx)
-            grid.add_horizontal(ay, ax, bx)
+            congestion = demand.segment_congestion(True, ay, ax, bx)
+            demand.add_horizontal(ay, ax, bx)
             return congestion
         # Two L patterns: horizontal-first at ay, or vertical-first at ax.
         cong_l1 = max(
-            grid.segment_congestion(True, ay, ax, bx),
-            grid.segment_congestion(False, bx, ay, by),
+            demand.segment_congestion(True, ay, ax, bx),
+            demand.segment_congestion(False, bx, ay, by),
         )
         cong_l2 = max(
-            grid.segment_congestion(False, ax, ay, by),
-            grid.segment_congestion(True, by, ax, bx),
+            demand.segment_congestion(False, ax, ay, by),
+            demand.segment_congestion(True, by, ax, bx),
         )
         if cong_l1 <= cong_l2:
-            grid.add_horizontal(ay, ax, bx)
-            grid.add_vertical(bx, ay, by)
+            demand.add_horizontal(ay, ax, bx)
+            demand.add_vertical(bx, ay, by)
             return cong_l1
-        grid.add_vertical(ax, ay, by)
-        grid.add_horizontal(by, ax, bx)
+        demand.add_vertical(ax, ay, by)
+        demand.add_horizontal(by, ax, bx)
         return cong_l2
 
     # ------------------------------------------------------------------
@@ -202,14 +203,18 @@ class GlobalRouter:
         net_lengths: Dict[int, float] = {idx: 0.0 for idx in degenerate}
         total = 0.0
         base = 0
+        demand = GCellDemand(grid)
+        cell_x = cell_x.tolist()
+        cell_y = cell_y.tolist()
         for net, tree in nets:
             worst = 0.0
             for i, j in tree.edges:
                 congestion = self._route_edge(
-                    int(cell_x[base + i]),
-                    int(cell_y[base + i]),
-                    int(cell_x[base + j]),
-                    int(cell_y[base + j]),
+                    demand,
+                    cell_x[base + i],
+                    cell_y[base + i],
+                    cell_x[base + j],
+                    cell_y[base + j],
                 )
                 worst = max(worst, congestion)
             base += len(tree.points)
@@ -217,6 +222,7 @@ class GlobalRouter:
             length = tree.length * detour
             net_lengths[net.index] = length
             total += length
+        demand.write_back(grid)
 
         ratios = self.grid.congestion_ratios()
         return RoutingResult(

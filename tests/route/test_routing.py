@@ -7,7 +7,7 @@ from repro.netlist.design import Floorplan
 from repro.place import GlobalPlacer, PlacementProblem
 from repro.place.hpwl import hpwl
 from repro.route.cts import synthesize_clock_tree
-from repro.route.gcell import GCellGrid
+from repro.route.gcell import GCellDemand, GCellGrid
 from repro.route.global_route import GlobalRouter
 
 
@@ -39,18 +39,24 @@ class TestGCellGrid:
 
     def test_horizontal_demand(self):
         grid = self.make()
-        grid.add_horizontal(2, 1, 4)
+        demand = GCellDemand(grid)
+        demand.add_horizontal(2, 1, 4)
+        demand.write_back(grid)
         assert grid.h_usage[2, 1:5].sum() == pytest.approx(4.0)
         assert grid.h_usage[2, 0] == 0.0
 
     def test_vertical_demand(self):
         grid = self.make()
-        grid.add_vertical(3, 0, 2)
+        demand = GCellDemand(grid)
+        demand.add_vertical(3, 0, 2)
+        demand.write_back(grid)
         assert grid.v_usage[0:3, 3].sum() == pytest.approx(3.0)
 
     def test_reversed_segment_normalised(self):
         grid = self.make()
-        grid.add_horizontal(0, 5, 2)
+        demand = GCellDemand(grid)
+        demand.add_horizontal(0, 5, 2)
+        demand.write_back(grid)
         assert grid.h_usage[0, 2:6].sum() == pytest.approx(4.0)
 
     def test_top_percent_congestion(self):
